@@ -10,12 +10,11 @@ independent of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mle import CONDITION_LIMIT, NumericalFailure, StepKernel, \
-    projected_gradient_violation
+from .mle import CoordinateState, HermitianInverse
 from .population import DevicePopulation
 
 __all__ = ["LowRankBasis", "BlockProblem", "BlockState", "build_basis",
@@ -116,7 +115,11 @@ class BlockProblem:
         self.means_prime = np.stack(
             [basis.u.conj().T @ ch.los_mean for ch in pop.channels])
         self.gains = np.array([ch.large_scale_gain for ch in pop.channels])
+        # per coordinate: device index and signature sequence
+        self.device = np.arange(pop.n_coordinates) // pop.seqs_per_device
+        self.sequences = pop.signatures.sequences.reshape(-1, pop.seq_len)
         self._xhat_cache: dict[int, np.ndarray] = {}
+        self._mean_cache: dict[int, np.ndarray] = {}
 
     @property
     def n_coordinates(self) -> int:
@@ -135,8 +138,7 @@ class BlockProblem:
         return self.basis.r_prime
 
     def is_correlated(self, j: int) -> bool:
-        n, _ = self.pop.coordinate_device(j)
-        return n < self.basis.n_corr
+        return self.device[j] < self.basis.n_corr
 
     def coordinate_rank(self, j: int) -> int:
         if self.is_correlated(j):
@@ -151,27 +153,19 @@ class BlockProblem:
         """
         x = self._xhat_cache.get(j)
         if x is None:
-            n, q = self.pop.coordinate_device(j)
-            s = self.pop.signatures.sequences[n, q]
-            if self.is_correlated(j):
-                x = np.kron(self.basis.corr_hat_factors[n], s[:, None])
-            else:
-                x = np.kron(np.sqrt(self.gains[n]) * np.eye(self.r_prime),
-                            s[:, None])
-            self._xhat_cache[j] = x
+            n = self.device[j]
+            x = self._xhat_cache[j] = np.kron(
+                self.basis.corr_hat_factors[n] if self.is_correlated(j)
+                else np.sqrt(self.gains[n]) * np.eye(self.r_prime),
+                self.sequences[j][:, None])
         return x
 
     def coordinate_mean(self, j: int) -> np.ndarray:
-        n, q = self.pop.coordinate_device(j)
-        return np.kron(self.means_prime[n], self.pop.signatures.sequences[n, q])
-
-    def coordinate_sequence(self, j: int) -> np.ndarray:
-        n, q = self.pop.coordinate_device(j)
-        return self.pop.signatures.sequences[n, q]
-
-    def coordinate_gain(self, j: int) -> float:
-        n, _ = self.pop.coordinate_device(j)
-        return float(self.gains[n])
+        m = self._mean_cache.get(j)
+        if m is None:
+            m = self._mean_cache[j] = np.kron(
+                self.means_prime[self.device[j]], self.sequences[j])
+        return m
 
 
 def transform_problem(pop: DevicePopulation, y: np.ndarray,
@@ -179,205 +173,119 @@ def transform_problem(pop: DevicePopulation, y: np.ndarray,
     return BlockProblem(pop, basis), transform_signal(y, basis, pop.seq_len)
 
 
-class BlockState:
-    """Solver state storing only the head and tail inverse blocks."""
+class BlockState(CoordinateState):
+    """Solver state storing only the head and tail inverse blocks, each a
+    :class:`HermitianInverse`."""
 
     def __init__(self, problem: BlockProblem, y_prime: np.ndarray,
                  a0: np.ndarray | None = None,
                  recompute_interval: int | None = None):
+        if problem.r_prime == 0:
+            raise ValueError("no correlated subspace; use FullState")
+        super().__init__(y_prime, problem.n_coordinates, a0,
+                         recompute_interval)
         self.problem = problem
-        self.y = np.asarray(y_prime, dtype=complex)
-        n = problem.n_coordinates
-        self.a = np.zeros(n) if a0 is None else np.asarray(a0, dtype=float).copy()
-        self.recompute_interval = (10 * n if recompute_interval is None
-                                   else recompute_interval)
-        self._updates_since_recompute = 0
-        self._recompute_dense()
-
-    # -- block geometry --------------------------------------------------
-
-    @property
-    def n_coordinates(self) -> int:
-        return self.problem.n_coordinates
-
-    @property
-    def _head_len(self) -> int:
-        return self.problem.seq_len * self.problem.r_prime
+        self._head_len = problem.seq_len * problem.r_prime
+        self.head = HermitianInverse(self._head_matrix,
+                                     self.recompute_interval)
+        self.tail = HermitianInverse(self._tail_matrix,
+                                     self.recompute_interval)
+        self._blocks = ((1, self.head),
+                        (problem.antenna_count - problem.r_prime, self.tail))
+        self._refresh()
 
     def _tail_slices(self, vec: np.ndarray) -> np.ndarray:
-        l = self.problem.seq_len
-        return vec[self._head_len:].reshape(-1, l)
+        return vec[self._head_len:].reshape(-1, self.problem.seq_len)
 
-    # -- maintained quantities -------------------------------------------
-
-    def _recompute_dense(self):
+    def _head_matrix(self) -> np.ndarray:
         prob = self.problem
-        l = prob.seq_len
-        noise = prob.pop.noise_power
-        hat = noise * np.eye(self._head_len, dtype=complex)
-        tilde = noise * np.eye(l, dtype=complex)
+        hat = prob.pop.noise_power * np.eye(self._head_len, dtype=complex)
         for j in np.nonzero(self.a)[0]:
             x = prob.head_factor(int(j))
             hat += self.a[j] * (x @ x.conj().T)
-            if not prob.is_correlated(int(j)):
-                s = prob.coordinate_sequence(int(j))
-                tilde += self.a[j] * prob.coordinate_gain(int(j)) * \
-                    np.outer(s, s.conj())
-        self.sigma_hat_inv = np.linalg.inv(hat)
-        self.sigma_hat_inv = 0.5 * (self.sigma_hat_inv
-                                    + self.sigma_hat_inv.conj().T)
-        self.sigma_tilde_inv = np.linalg.inv(tilde)
-        self.sigma_tilde_inv = 0.5 * (self.sigma_tilde_inv
-                                      + self.sigma_tilde_inv.conj().T)
-        _, self.logdet_hat = np.linalg.slogdet(hat)
-        _, self.logdet_tilde = np.linalg.slogdet(tilde)
-        self.residual = self.y.copy()
-        for j in np.nonzero(self.a)[0]:
-            self.residual -= self.a[j] * prob.coordinate_mean(int(j))
-        self._updates_since_recompute = 0
+        return hat
 
-    @property
-    def logdet(self) -> float:
-        m, rp = self.problem.antenna_count, self.problem.r_prime
-        return self.logdet_hat + (m - rp) * self.logdet_tilde
+    def _tail_matrix(self) -> np.ndarray:
+        prob = self.problem
+        weight = np.where(prob.device < prob.basis.n_corr, 0.0,
+                          self.a * prob.gains[prob.device])
+        return (prob.pop.noise_power * np.eye(prob.seq_len, dtype=complex)
+                + (prob.sequences.T * weight) @ prob.sequences.conj())
 
-    def quadratic_form(self, xi: np.ndarray, eta: np.ndarray) -> complex:
-        """xi^H (Sigma')^{-1} eta without materializing the full inverse."""
-        h = self._head_len
-        head = xi[:h].conj() @ (self.sigma_hat_inv @ eta[:h])
-        xt, et = self._tail_slices(xi), self._tail_slices(eta)
-        tail = np.sum(xt.conj() * (et @ self.sigma_tilde_inv.T))
-        return complex(head + tail)
-
-    def objective(self) -> float:
-        val = self.logdet + float(np.real(
-            self.quadratic_form(self.residual, self.residual)))
-        if not np.isfinite(val):
-            raise NumericalFailure("non-finite objective")
-        return val
+    def _refresh(self):
+        prob = self.problem
+        mean = (prob.means_prime[prob.device].T * self.a) @ prob.sequences
+        self.residual = self.y - mean.ravel()
+        self._w = self.inverse_times(self.residual)
 
     def inverse_times(self, vec: np.ndarray) -> np.ndarray:
         """(Sigma')^{-1} vec, block by block."""
-        h = self._head_len
-        out = np.empty_like(vec)
-        out[:h] = self.sigma_hat_inv @ vec[:h]
-        out[h:] = (self._tail_slices(vec) @ self.sigma_tilde_inv.T).ravel()
-        return out
-
-    # -- per-coordinate machinery ----------------------------------------
+        tail = self.tail.times(self._tail_slices(vec).T).T
+        return np.concatenate([self.head.times(vec[:self._head_len]),
+                               tail.ravel()])
 
     def rank_of(self, j: int) -> int:
         return self.problem.coordinate_rank(j)
 
-    def kernel(self, j: int) -> StepKernel:
+    def _products(self, j: int):
         prob = self.problem
         h = self._head_len
         m_vec = prob.coordinate_mean(j)
-        z = self.inverse_times(self.residual)
         sm = self.inverse_times(m_vec)
         xhat = prob.head_factor(j)
-        gram_head = xhat.conj().T @ (self.sigma_hat_inv @ xhat)
-        gram_head = 0.5 * (gram_head + gram_head.conj().T)
-        u_head = xhat.conj().T @ z[:h]
-        t_head = xhat.conj().T @ sm[:h]
-        if prob.is_correlated(j):
-            gram, u, t = gram_head, u_head, t_head
-        else:
+        b = self.head.times(xhat)
+        gram = xhat.conj().T @ b
+        gram = 0.5 * (gram + gram.conj().T)
+        u = xhat.conj().T @ self._w[:h]
+        t = xhat.conj().T @ sm[:h]
+        tail_b = None
+        if not prob.is_correlated(j):
             # tail columns of the equivalent factor sqrt(g) I_M (x) s act on
             # one antenna slice each with the shared L x L inverse
-            s = prob.coordinate_sequence(j)
-            root_g = np.sqrt(prob.coordinate_gain(j))
-            lam_tilde = prob.coordinate_gain(j) * float(np.real(
-                s.conj() @ (self.sigma_tilde_inv @ s)))
-            n_tail = prob.antenna_count - prob.r_prime
-            gram = np.zeros((prob.antenna_count, prob.antenna_count),
-                            dtype=complex)
-            gram[:prob.r_prime, :prob.r_prime] = gram_head
-            gram[prob.r_prime:, prob.r_prime:] = lam_tilde * np.eye(n_tail)
-            u = np.concatenate([u_head,
-                                root_g * (self._tail_slices(z) @ s.conj())])
-            t = np.concatenate([t_head,
-                                root_g * (self._tail_slices(sm) @ s.conj())])
-        return StepKernel(
-            gram=gram, resid_proj=u, mean_proj=t,
-            mean_lin=float(np.real(self.residual.conj() @ sm)),
-            mean_quad=float(np.real(m_vec.conj() @ sm)),
-            box=(-self.a[j], 1.0 - self.a[j]),
-        )
+            s = prob.sequences[j]
+            root_g = np.sqrt(prob.gains[prob.device[j]])
+            tail_b = root_g * self.tail.times(s)
+            head_gram, rp = gram, prob.r_prime
+            gram = root_g * np.real(s.conj() @ tail_b) * np.eye(
+                prob.antenna_count, dtype=complex)
+            gram[:rp, :rp] = head_gram
+            u = np.concatenate([u, root_g * (self._tail_slices(self._w)
+                                             @ s.conj())])
+            t = np.concatenate([t, root_g * (self._tail_slices(sm)
+                                             @ s.conj())])
+        return m_vec, sm, gram, u, t, (b, tail_b)
 
-    def apply_update(self, j: int, d: float):
-        if d == 0.0:
-            return
-        prob = self.problem
-        xhat = prob.head_factor(j)
-        b = self.sigma_hat_inv @ xhat
-        gram = xhat.conj().T @ b
-        c = np.eye(gram.shape[0]) + d * gram
-        self.a[j] += d
-        self.residual -= d * prob.coordinate_mean(j)
-        if np.linalg.cond(c) > CONDITION_LIMIT:
-            self._recompute_dense()
-            return
-        _, logabs = np.linalg.slogdet(c)
-        self.sigma_hat_inv -= d * (b @ np.linalg.solve(c, b.conj().T))
-        self.sigma_hat_inv = 0.5 * (self.sigma_hat_inv
-                                    + self.sigma_hat_inv.conj().T)
-        self.logdet_hat += logabs
-        if not prob.is_correlated(j):
-            s = prob.coordinate_sequence(j)
-            g = prob.coordinate_gain(j)
-            w = self.sigma_tilde_inv @ s
-            denom = 1.0 + d * g * float(np.real(s.conj() @ w))
-            if abs(denom) < 1.0 / CONDITION_LIMIT:
-                self._recompute_dense()
-                return
-            self.sigma_tilde_inv -= (d * g / denom) * np.outer(w, w.conj())
-            self.sigma_tilde_inv = 0.5 * (self.sigma_tilde_inv
-                                          + self.sigma_tilde_inv.conj().T)
-            self.logdet_tilde += np.log(abs(denom))
-        self._updates_since_recompute += 1
-        if self._updates_since_recompute >= self.recompute_interval:
-            self._recompute_dense()
-
-    # -- whole-vector diagnostics ----------------------------------------
+    def _woodbury(self, rest, gram, v, d):
+        b, tail_b = rest
+        r = b.shape[1]
+        head = self.head.update(b, gram[:r, :r], d, v[:r])
+        # the tail's c is 1 x 1 and acts on each antenna slice alike
+        tail = 0.0 if tail_b is None else self.tail.update(
+            tail_b[:, None], gram[r:r + 1, r:r + 1], d, v[None, r:])
+        if head is None or tail is None:
+            return None
+        out = np.empty_like(self._w)
+        out[:self._head_len] = head
+        self._tail_slices(out)[:] = np.transpose(tail)
+        return out
 
     def gradient(self) -> np.ndarray:
         prob = self.problem
-        n = prob.n_coordinates
-        h = self._head_len
-        z = self.inverse_times(self.residual)
-        z_tail = self._tail_slices(z)
-        # block trace sum_i (Sigma_hat^{-1})_{ii} for uncorrelated traces
-        l, rp = prob.seq_len, prob.r_prime
-        blocks = self.sigma_hat_inv.reshape(rp, l, rp, l)
-        block_trace = np.einsum("iaib->ab", blocks)
-        n_tail = prob.antenna_count - rp
-        grad = np.empty(n)
-        for j in range(n):
-            m_vec = prob.coordinate_mean(j)
-            lin = float(np.real(z.conj() @ m_vec))
+        l, rp, seqs = prob.seq_len, prob.r_prime, prob.sequences
+        z = self._w.reshape(prob.antenna_count, l)
+        lin = np.real(np.sum(prob.means_prime[prob.device].T
+                             * (z.conj() @ seqs.T), axis=0))
+        # uncorrelated coordinates: X' = sqrt(g) I_M (x) s, so the trace
+        # term is g s^H (sum_i Sigma_hat^{-1}_ii + (M - r') Sigma_tilde^{-1}) s
+        inner = np.einsum("iaib->ab", self.head.matrix.reshape(rp, l, rp, l)) \
+            + (prob.antenna_count - rp) * self.tail.matrix
+        quad = np.real(np.sum(seqs.conj() * (seqs @ inner.T), axis=1))
+        usq = np.sum(np.abs(z @ seqs.conj().T) ** 2, axis=0)
+        grad = prob.gains[prob.device] * (quad - usq) - 2.0 * lin
+        for j in range(prob.n_coordinates):
             if prob.is_correlated(j):
-                xhat = prob.head_factor(j)
-                tr = float(np.real(np.sum(
-                    xhat.conj() * (self.sigma_hat_inv @ xhat))))
-                usq = float(np.sum(np.abs(xhat.conj().T @ z[:h]) ** 2))
-            else:
-                s = prob.coordinate_sequence(j)
-                g = prob.coordinate_gain(j)
-                lam_tilde = g * float(np.real(
-                    s.conj() @ (self.sigma_tilde_inv @ s)))
-                tr = g * float(np.real(s.conj() @ (block_trace @ s))) \
-                    + n_tail * lam_tilde
-                u_head = np.sqrt(g) * (z[:h].reshape(rp, l) @ s.conj())
-                u_tail = np.sqrt(g) * (z_tail @ s.conj())
-                usq = float(np.sum(np.abs(u_head) ** 2)
-                            + np.sum(np.abs(u_tail) ** 2))
-            grad[j] = tr - usq - 2.0 * lin
+                x = prob.head_factor(j)
+                grad[j] = (np.real(np.sum(x.conj() * self.head.times(x)))
+                           - np.sum(np.abs(x.conj().T @ z[:rp].ravel()) ** 2)
+                           - 2.0 * lin[j])
         return grad
-
-    def gradient_entry(self, j: int) -> float:
-        return self.kernel(j).gradient()
-
-    def optimality(self) -> tuple[np.ndarray, float]:
-        v = projected_gradient_violation(self.a, self.gradient())
-        return v, float(np.linalg.norm(v))

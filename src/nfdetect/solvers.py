@@ -54,15 +54,11 @@ class SolveOptions:
 @dataclass(frozen=True)
 class StepResult:
     d: float
-    new_objective_estimate: float  # estimated f(a + d e_j) - f(a)
-    solver_kind: str
 
 
 @dataclass
 class SweepStats:
     objective: float
-    vnorm: float | None = None
-    steps: np.ndarray | None = None
 
 
 @dataclass
@@ -228,9 +224,7 @@ def exact_step(kernel: StepKernel) -> StepResult:
             best_d, best_val = d, val
     if best_d is None:
         raise DivergenceSignal("no usable candidate step")
-    return StepResult(d=float(np.clip(best_d, lo, hi)),
-                      new_objective_estimate=float(best_val),
-                      solver_kind="exact")
+    return StepResult(d=float(np.clip(best_d, lo, hi)))
 
 
 def inexact_step(kernel: StepKernel, mu: float) -> StepResult:
@@ -249,9 +243,7 @@ def inexact_step(kernel: StepKernel, mu: float) -> StepResult:
     c2m = c2 + 0.5 * mu
     vals = [d * (c1 + d * (c2m + d * (c3 + d * c4))) for d in candidates]
     best = int(np.argmin(vals))
-    return StepResult(d=float(np.clip(candidates[best], lo, hi)),
-                      new_objective_estimate=float(vals[best]),
-                      solver_kind="inexact")
+    return StepResult(d=float(np.clip(candidates[best], lo, hi)))
 
 
 def _route_exact(options: SolveOptions, rank: int) -> bool:
@@ -268,11 +260,9 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
     each accepted update; the true delta is evaluated from the kernel
     before the state is modified.
     """
-    n = state.n_coordinates
-    perm = rng.permutation(n)
+    perm = rng.permutation(state.n_coordinates)
     f_start = state.objective()
     f_run = f_start
-    steps = np.zeros(n)
     for j in perm:
         kernel = state.kernel(int(j))
         if _route_exact(options, state.rank_of(int(j))):
@@ -284,7 +274,6 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
         else:
             result = inexact_step(kernel, options.mu)
         d = result.d
-        steps[j] = d
         if d != 0.0:
             delta = kernel.objective_delta(d)
             state.apply_update(int(j), d)
@@ -295,7 +284,7 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
                     f_run > f_start + options.divergence_threshold:
                 raise DivergenceSignal("objective increased beyond threshold",
                                        coordinate=int(j), sweep=sweep_index)
-    return SweepStats(objective=state.objective(), steps=steps)
+    return SweepStats(objective=state.objective())
 
 
 def solve(pop, y, options: SolveOptions | None = None,
@@ -305,7 +294,8 @@ def solve(pop, y, options: SolveOptions | None = None,
 
     ``state`` may carry a pre-built solver state (e.g. the block-diagonal
     accelerated form, or a warm start); by default a dense state at a = 0
-    is used.
+    is used.  Each sweep's trace entry also holds the state's running
+    count of inverse rebuilds by cause, ``recomputes``.
     """
     options = options or SolveOptions()
     rng = np.random.default_rng(rng)
@@ -324,7 +314,8 @@ def solve(pop, y, options: SolveOptions | None = None,
             _, vnorm = state.optimality()
             trace.append({"sweep": i, "objective": stats.objective,
                           "vnorm": vnorm,
-                          "elapsed_s": time.perf_counter() - t0})
+                          "elapsed_s": time.perf_counter() - t0,
+                          "recomputes": state.recomputes})
             if vnorm <= options.epsilon:
                 termination = "converged"
                 break

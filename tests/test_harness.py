@@ -1,5 +1,7 @@
 """Experiment plans, PM/PF aggregation and CSV emission."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,16 @@ class TestExperiment:
         for a, b in zip(r1, r2):
             assert np.array_equal(a.pm_curve, b.pm_curve)
             assert np.array_equal(a.pf_curve, b.pf_curve)
+
+    def test_two_workers_write_the_same_csv(self):
+        plan = tiny_plan(trials=6)
+        reports = [run_experiment(p)
+                   for p in (plan, dataclasses.replace(plan, workers=2))]
+        for curves in (False, True):
+            one, two = (render_csv(*report_rows(r, plan.sweep_variable,
+                                                curves=curves))
+                        for r in reports)
+            assert one.encode() == two.encode()
 
     def test_mismatched_baseline_runs_identity_model(self):
         plan = tiny_plan(sweep_points=({},), trials=3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nfdetect.mle import FullState
+from nfdetect.mle import FullState, NumericalFailure
 from nfdetect.lowrank import (
     BlockState,
     build_basis,
@@ -138,6 +138,47 @@ class TestBlockStateEquivalence:
         for tf, tb in zip(res_full.trace, res_block.trace):
             assert tb["objective"] == pytest.approx(tf["objective"],
                                                     rel=1e-8)
+
+
+class TestBlockStateInputs:
+    def test_non_positive_definite_covariance_raises(self, rng):
+        pop = random_population(rng, n_devices=10, seq_len=5, m_antennas=12,
+                                max_rank=2, n_identity=7, noise=0.0)
+        y = random_signal(pop, rng).y
+        prob, yp = transform_problem(pop, y, build_basis(pop, 3))
+        with pytest.raises(NumericalFailure):
+            BlockState(prob, yp)
+
+    def test_bad_start_rejected(self, rng):
+        pop = split_population(rng)
+        y = random_signal(pop, rng).y
+        prob, yp = transform_problem(pop, y, build_basis(pop, 3))
+        a0 = np.full(pop.n_coordinates, 0.5)
+        a0[4] = -0.1
+        with pytest.raises(ValueError):
+            BlockState(prob, yp, a0=a0)
+        with pytest.raises(ValueError):
+            BlockState(prob, yp, a0=a0[:3])
+
+    def test_empty_head_block_rejected(self, rng):
+        pop = split_population(rng, n_corr=0)
+        y = random_signal(pop, rng).y
+        prob, yp = transform_problem(pop, y, build_basis(pop, 0))
+        with pytest.raises(ValueError):
+            BlockState(prob, yp)
+
+    def test_rebuilds_counted_over_both_blocks(self, rng):
+        pop = split_population(rng)
+        y = random_signal(pop, rng).y
+        prob, yp = transform_problem(pop, y, build_basis(pop, 3))
+        block = BlockState(prob, yp, recompute_interval=2)
+        for j in (0, 5, 1, 6, 7):   # devices 0, 1 correlated, 5-7 identity
+            block.apply_update(j, 0.3)
+        # head rebuilt after updates 2 and 4, tail after its second update
+        assert block.recomputes == {"scheduled": 3, "condition": 0}
+        full = FullState(pop, y, a0=block.a)
+        assert block.objective() == pytest.approx(full.objective(),
+                                                  rel=1e-10)
 
 
 class TestScenarioIntegration:

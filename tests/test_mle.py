@@ -126,9 +126,23 @@ class TestMaintainedState:
         for _ in range(7):
             j = int(rng.integers(pop.n_coordinates))
             st_.apply_update(j, float(rng.uniform(0, 1.0 - st_.a[j])))
-        assert st_._updates_since_recompute < 3
+        # rebuilt after the third and the sixth update
+        assert st_.recomputes == {"scheduled": 2, "condition": 0}
         inv = np.linalg.inv(covariance_matrix(pop, st_.a))
         assert np.allclose(st_.sigma_inv, inv, atol=1e-10)
+
+    def test_ill_conditioned_step_rebuilds_and_is_counted(self, rng):
+        """Removing the only device leaves Sigma = noise * I; the Woodbury
+        system c = I - G is then of the order of the noise and the step is
+        replaced by a rebuild."""
+        pop = random_population(rng, n_devices=1, seq_len=2, m_antennas=2,
+                                max_rank=1, noise=1e-12)
+        y = random_signal(pop, rng).y
+        st_ = FullState(pop, y, a0=[1.0])
+        st_.apply_update(0, -1.0)
+        assert st_.recomputes == {"scheduled": 0, "condition": 1}
+        assert np.allclose(st_.sigma_inv * 1e-12, np.eye(4), atol=1e-12)
+        assert st_.logdet == pytest.approx(4 * np.log(1e-12))
 
     def test_zero_step_is_identity(self, rng):
         pop = random_population(rng)
@@ -173,3 +187,28 @@ class TestStepKernel:
             lo, hi = st_.kernel(j).box
             assert lo == pytest.approx(-a[j])
             assert hi == pytest.approx(1.0 - a[j])
+
+
+class TestInputValidation:
+    def test_non_positive_definite_covariance_raises(self, rng):
+        pop = random_population(rng, noise=0.0)
+        y = random_signal(pop, rng).y
+        with pytest.raises(NumericalFailure):
+            FullState(pop, y)
+
+    @pytest.mark.parametrize("bad", ["negative", "above_one", "nan",
+                                     "short"])
+    def test_bad_start_rejected(self, rng, bad):
+        pop = random_population(rng)
+        y = random_signal(pop, rng).y
+        a0 = np.full(pop.n_coordinates, 0.5)
+        if bad == "negative":
+            a0[1] = -0.1
+        elif bad == "above_one":
+            a0[0] = 1.5
+        elif bad == "nan":
+            a0[2] = np.nan
+        else:
+            a0 = a0[:-1]
+        with pytest.raises(ValueError):
+            FullState(pop, y, a0=a0)

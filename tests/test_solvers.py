@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from nfdetect import solvers
 from nfdetect.mle import FullState
 from nfdetect.solvers import (
     DivergenceSignal,
@@ -182,6 +183,21 @@ class TestSweepAndSolve:
         assert all(np.isfinite(objs))
         assert all(t >= 0 for t in times)
 
+    def test_trace_carries_recompute_counts(self, rng):
+        pop = random_population(rng, n_devices=10, seq_len=6, m_antennas=6)
+        y = random_signal(pop, rng).y
+        updates = []
+        res = solve(pop, y, SolveOptions(max_sweeps=6),
+                    rng=np.random.default_rng(7),
+                    state=FullState(pop, y, recompute_interval=5),
+                    monitor=lambda j, d, delta: updates.append(j))
+        counts = [t["recomputes"] for t in res.trace]
+        assert counts[-1] == {"scheduled": len(updates) // 5, "condition": 0}
+        scheduled = [c["scheduled"] for c in counts]
+        assert scheduled == sorted(scheduled)
+        assert res.trace_rows()[0][1:3] == (res.trace[0]["objective"],
+                                            res.trace[0]["vnorm"])
+
     def test_sweep_cap_reported(self, rng):
         pop = random_population(rng, n_devices=10, seq_len=4, m_antennas=6)
         y = random_signal(pop, rng).y
@@ -226,14 +242,30 @@ class TestSweepAndSolve:
         with pytest.raises(ValueError):
             SolveOptions(solver="bogus")
 
-    def test_divergence_signal_carries_location(self, rng):
-        pop = random_population(rng, n_devices=6, seq_len=8, m_antennas=24,
-                                n_identity=6, zero_mean=True)
-        y = random_signal(pop, rng).y
-        st_ = FullState(pop, y)
-        opts = SolveOptions(solver="exact")
+    def test_divergence_signal_carries_location(self, rng, monkeypatch):
+        def dead_roots(kernel):
+            raise DivergenceSignal("no usable candidate step")
+
+        monkeypatch.setattr(solvers, "exact_step", dead_roots)
+        st_ = random_state(rng, n_devices=4)
+        perm = np.random.default_rng(6).permutation(st_.n_coordinates)
         with pytest.raises(DivergenceSignal) as exc:
-            for i in range(10):
-                sweep(st_, opts, np.random.default_rng(6), sweep_index=i)
-        assert exc.value.sweep is not None
-        assert exc.value.coordinate is not None
+            sweep(st_, SolveOptions(solver="exact"),
+                  np.random.default_rng(6), sweep_index=3)
+        assert exc.value.sweep == 3
+        assert exc.value.coordinate == perm[0]
+
+    def test_exact_steps_diverge_at_full_rank(self):
+        """Rank-24 scaled-identity kernels: nearly every instance makes the
+        exact step's polynomial rooting fail within ten sweeps."""
+        diverged = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            pop = random_population(rng, n_devices=6, seq_len=8,
+                                    m_antennas=24, n_identity=6,
+                                    zero_mean=True)
+            y = random_signal(pop, rng).y
+            diverged += solve(pop, y, SolveOptions(solver="exact",
+                                                   max_sweeps=10),
+                              rng=seed).diverged
+        assert diverged >= 35
