@@ -6,7 +6,8 @@ spatially correlated Rician (near-field) channel statistics.  Includes
 exact and inexact coordinate-descent solvers for the relaxed
 maximum-likelihood problem, a block-diagonal acceleration exploiting
 low-rank channel correlation, identifiability/dimension diagnostics,
-joint activity-and-data detection, and a Monte Carlo experiment CLI.
+and a Monte Carlo experiment CLI whose plans also run joint activity and
+data detection (2^bits sequences per device).
 """
 
 from .geometry import (ChannelStats, DeviceGeometry, GeometryConfig,
@@ -17,29 +18,25 @@ from .synthesis import (ActivityTruth, ReceivedSignal, SignatureSet,
                         generate_sequences, sample_truth, synthesize_signal)
 from .mle import FullState, NumericalFailure, StepKernel
 from .solvers import (DivergenceSignal, SolveOptions, SolveResult, solve)
-from .lowrank import (BlockState, LowRankBasis, build_basis, transform_problem,
-                      truncate_basis)
+from .lowrank import BlockState, LowRankBasis, build_basis, transform_problem
 from .analysis import (DimensionReport, cosine_similarity_pair,
                        identifiability_holds, statistical_dimension,
                        theorem3_scan)
-from .datadet import (DataDetectionConfig, DecodedMessage, decode,
-                      data_error_metrics, expand_problem)
 from .harness import (DetectionReport, ExperimentPlan, baseline_mismatched,
                       convergence_table, error_probability, run_experiment)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityTruth", "BlockState", "ChannelStats", "DataDetectionConfig",
-    "DecodedMessage", "DetectionReport", "DeviceGeometry", "DevicePopulation",
-    "DimensionReport", "DivergenceSignal", "ExperimentPlan", "FullState",
-    "GeometryConfig", "LowRankBasis", "NumericalFailure", "ReceivedSignal",
-    "ScenarioConfig", "SignatureSet", "SolveOptions", "SolveResult",
-    "StepKernel", "baseline_mismatched", "build_basis", "build_population",
-    "convergence_table", "cosine_similarity_pair", "data_error_metrics",
-    "decode", "error_probability", "expand_problem", "generate_sequences",
-    "identifiability_holds", "mismatched_population", "rayleigh_distance",
-    "run_experiment", "sample_truth", "solve", "statistical_dimension",
-    "synthesize_signal", "theorem3_scan", "transform_problem",
-    "truncate_basis",
+    "ActivityTruth", "BlockState", "ChannelStats", "DetectionReport",
+    "DeviceGeometry", "DevicePopulation", "DimensionReport",
+    "DivergenceSignal", "ExperimentPlan", "FullState", "GeometryConfig",
+    "LowRankBasis", "NumericalFailure", "ReceivedSignal", "ScenarioConfig",
+    "SignatureSet", "SolveOptions", "SolveResult", "StepKernel",
+    "baseline_mismatched", "build_basis", "build_population",
+    "convergence_table", "cosine_similarity_pair", "error_probability",
+    "generate_sequences", "identifiability_holds", "mismatched_population",
+    "rayleigh_distance", "run_experiment", "sample_truth", "solve",
+    "statistical_dimension", "synthesize_signal", "theorem3_scan",
+    "transform_problem",
 ]

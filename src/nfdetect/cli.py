@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import analysis
 from .harness import (ExperimentPlan, convergence_table, render_csv,
-                      report_rows, run_experiment, write_csv)
+                      report_rows, run_experiment)
 from .population import ScenarioConfig, build_population
 from .solvers import SolveOptions, solve
 from .synthesis import sample_truth, synthesize_signal
@@ -32,11 +33,7 @@ def _load_plan(args) -> ExperimentPlan:
         overrides["seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if overrides:
-        d = json.loads(plan.to_json())
-        d.update(overrides)
-        plan = ExperimentPlan(**{**d, "sweep_points": tuple(d["sweep_points"])})
-    return plan
+    return replace(plan, **overrides)
 
 
 def _emit(text: str, out: str | None):

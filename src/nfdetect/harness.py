@@ -15,19 +15,19 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .population import (DevicePopulation, ScenarioConfig, build_population,
                          mismatched_population)
-from .solvers import SolveOptions, SolveResult, solve
+from .solvers import SolveOptions, solve
 from .synthesis import sample_truth, synthesize_signal
 
 __all__ = ["ExperimentPlan", "DetectionReport", "TrialOutcome",
            "run_experiment", "run_point", "error_probability",
            "convergence_table", "baseline_mismatched", "report_rows",
-           "write_csv", "render_csv", "THRESHOLD_POINTS"]
+           "render_csv", "THRESHOLD_POINTS"]
 
 THRESHOLD_POINTS = 512
 
@@ -62,8 +62,18 @@ class ExperimentPlan:
             raise ValueError("need at least one trial")
         if self.model not in ("true", "mismatched"):
             raise ValueError(f"unknown model {self.model!r}")
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
         object.__setattr__(self, "sweep_points",
                            tuple(dict(p) for p in self.sweep_points))
+        # a device's sequence count is 2^bits, set on the plan or per point
+        if "bits" in self.base:
+            raise ValueError("set bits on the plan or on a point, not in base")
+        if any("seqs_per_device" in d for d in (self.base,
+                                                *self.sweep_points)):
+            raise ValueError("seqs_per_device comes from bits; set bits")
+        if min(self.bits, *(p.get("bits", 0) for p in self.sweep_points)) < 0:
+            raise ValueError("bit count must be nonnegative")
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(solver=self.solver, mu=self.mu,
@@ -76,9 +86,6 @@ class ExperimentPlan:
         kwargs.pop("bits", None)
         kwargs["seqs_per_device"] = 2 ** int(point.get("bits", self.bits))
         return ScenarioConfig(**kwargs)
-
-    def point_bits(self, point: dict) -> int:
-        return int(point.get("bits", self.bits))
 
     def point_label(self, point: dict) -> str:
         if self.sweep_variable in point:
@@ -105,6 +112,7 @@ class TrialOutcome:
     symbol_hit: np.ndarray | None  # per true-active device, argmax == sent q
     sweeps: int
     runtime_s: float
+    converged: bool
     diverged: bool
 
 
@@ -127,7 +135,13 @@ class DetectionReport:
 
 def _run_trial(pop: DevicePopulation, solve_pop: DevicePopulation,
                cfg: ScenarioConfig, options: SolveOptions,
-               seed: np.random.SeedSequence) -> TrialOutcome:
+               seed: np.random.SeedSequence | np.random.Generator,
+               ) -> TrialOutcome:
+    """One signal realization: sample, synthesize, solve, read out.
+
+    A device's score is its largest soft value; its symbol is the index of
+    that value, ties going to the lowest index.
+    """
     rng = np.random.default_rng(seed)
     truth = sample_truth(cfg.n_devices, cfg.n_active, cfg.seqs_per_device, rng)
     sig = synthesize_signal(pop, truth, rng)
@@ -137,16 +151,15 @@ def _run_trial(pop: DevicePopulation, solve_pop: DevicePopulation,
     if result.diverged:
         return TrialOutcome(scores=None, active_mask=None, symbol_hit=None,
                             sweeps=result.sweeps, runtime_s=runtime,
-                            diverged=True)
+                            converged=False, diverged=True)
     soft = result.a.reshape(cfg.n_devices, cfg.seqs_per_device)
-    scores = soft.max(axis=1)
+    active = list(truth.active_set)
     mask = np.zeros(cfg.n_devices, dtype=bool)
-    mask[list(truth.active_set)] = True
-    hits = np.array([int(np.argmax(soft[n])) == q
-                     for n, q in zip(truth.active_set, truth.symbols)],
-                    dtype=bool)
-    return TrialOutcome(scores=scores, active_mask=mask, symbol_hit=hits,
-                        sweeps=result.sweeps, runtime_s=runtime,
+    mask[active] = True
+    hits = soft.argmax(axis=1)[active] == np.array(truth.symbols, dtype=int)
+    return TrialOutcome(scores=soft.max(axis=1), active_mask=mask,
+                        symbol_hit=hits, sweeps=result.sweeps,
+                        runtime_s=runtime, converged=result.converged,
                         diverged=False)
 
 
@@ -223,10 +236,7 @@ def baseline_mismatched(plan: ExperimentPlan) -> list[DetectionReport]:
     handed to the solver is replaced, so matched seeds give a paired
     comparison against :func:`run_experiment`.
     """
-    d = asdict(plan)
-    d["sweep_points"] = list(plan.sweep_points)
-    d["model"] = "mismatched"
-    return run_experiment(ExperimentPlan(**d))
+    return run_experiment(replace(plan, model="mismatched"))
 
 
 def error_probability(thresholds: np.ndarray, pm: np.ndarray,
@@ -254,28 +264,24 @@ def error_probability(thresholds: np.ndarray, pm: np.ndarray,
     return float(0.5 * (pm_star + pf_star)), True
 
 
-def convergence_table(base: dict, scatterer_values, instances: int = 100,
-                      seed: int = 0, solver: str = "exact",
-                      options: SolveOptions | None = None) -> list[dict]:
-    """Fraction of instances on which the chosen solver converges, per
-    scatterer count (which sets the per-device kernel rank)."""
+def convergence_table(base: dict, scatterer_values, options: SolveOptions,
+                      instances: int = 100, seed: int = 0) -> list[dict]:
+    """Fraction of instances on which the solver converges, per scatterer
+    count (which sets the per-device kernel rank).  Every instance builds
+    its own population and then runs one trial from the same generator."""
     rows = []
     for i, n_scat in enumerate(scatterer_values):
         kwargs = dict(base)
         kwargs["n_scatterers"] = int(n_scat)
         cfg = ScenarioConfig(**kwargs)
-        opts = options or SolveOptions(solver=solver)
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         converged = diverged = 0
         for trial_seed in seq.spawn(instances):
             rng = np.random.default_rng(trial_seed)
             pop = build_population(cfg, rng)
-            truth = sample_truth(cfg.n_devices, cfg.n_active,
-                                 cfg.seqs_per_device, rng)
-            sig = synthesize_signal(pop, truth, rng)
-            result = solve(pop, sig.y, opts, rng=rng)
-            converged += int(result.converged)
-            diverged += int(result.diverged)
+            out = _run_trial(pop, pop, cfg, options, rng)
+            converged += int(out.converged)
+            diverged += int(out.diverged)
         rows.append({"n_scatterers": int(n_scat), "instances": instances,
                      "converged": converged, "diverged": diverged,
                      "proportion_converged": converged / instances})
@@ -317,8 +323,3 @@ def render_csv(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def write_csv(path, header: list[str], rows: list[list[str]]):
-    with open(path, "w", newline="") as fh:
-        fh.write(render_csv(header, rows))

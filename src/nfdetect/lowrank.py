@@ -18,7 +18,7 @@ from .mle import CoordinateState, HermitianInverse
 from .population import DevicePopulation
 
 __all__ = ["LowRankBasis", "BlockProblem", "BlockState", "build_basis",
-           "truncate_basis", "transform_problem", "transform_signal"]
+           "transform_problem", "transform_signal"]
 
 RANK_TOL = 1e-9
 
@@ -31,15 +31,6 @@ class LowRankBasis:
     r_prime: int
     n_corr: int
     corr_hat_factors: list[np.ndarray]  # per correlated device, r' x r_n
-    eigvals: np.ndarray                # of the correlation sum, descending
-    approximate: bool = False
-
-    @property
-    def energy_fraction(self) -> float:
-        total = float(np.sum(self.eigvals))
-        if total == 0.0:
-            return 1.0
-        return float(np.sum(self.eigvals[:self.r_prime])) / total
 
 
 def _check_split(pop: DevicePopulation, n_corr: int):
@@ -51,7 +42,9 @@ def _check_split(pop: DevicePopulation, n_corr: int):
             raise ValueError(f"device {n} must have scaled-identity correlation")
 
 
-def _basis_from_sum(pop: DevicePopulation, n_corr: int):
+def build_basis(pop: DevicePopulation, n_corr: int) -> LowRankBasis:
+    """Exact common basis; requires the correlation sum to be rank-deficient."""
+    _check_split(pop, n_corr)
     m = pop.antenna_count
     total = np.zeros((m, m), dtype=complex)
     for n in range(n_corr):
@@ -59,43 +52,16 @@ def _basis_from_sum(pop: DevicePopulation, n_corr: int):
         total += f @ f.conj().T
     lam, u = np.linalg.eigh(total)
     order = np.argsort(lam)[::-1]
-    return np.maximum(lam[order], 0.0), u[:, order]
-
-
-def build_basis(pop: DevicePopulation, n_corr: int) -> LowRankBasis:
-    """Exact common basis; requires the correlation sum to be rank-deficient."""
-    _check_split(pop, n_corr)
-    lam, u = _basis_from_sum(pop, n_corr)
-    m = pop.antenna_count
+    lam, u = np.maximum(lam[order], 0.0), u[:, order]
     cutoff = RANK_TOL * lam[0] if n_corr > 0 and lam[0] > 0 else 0.0
     r_prime = int(np.sum(lam > cutoff))
     if r_prime >= m:
-        raise ValueError("correlation sum has full rank; use truncate_basis "
-                         "for an approximate construction")
+        raise ValueError("correlation sum of the correlated devices has full "
+                         "rank; the block-diagonal state needs r' < M")
     factors = [(u.conj().T @ pop.channels[n].corr_factor)[:r_prime]
                for n in range(n_corr)]
     return LowRankBasis(u=u, r_prime=r_prime, n_corr=n_corr,
-                        corr_hat_factors=factors, eigvals=lam)
-
-
-def truncate_basis(pop: DevicePopulation, n_corr: int,
-                   r_dd: int) -> LowRankBasis:
-    """Approximate basis keeping only the leading r_dd coordinates.
-
-    Useful when the correlation sum is full rank; the captured energy
-    fraction is reported on the result, and the solved activity vector is
-    intended as a warm start for the exact solver.
-    """
-    _check_split(pop, n_corr)
-    m = pop.antenna_count
-    if not 0 < r_dd < m:
-        raise ValueError("truncation rank must satisfy 0 < r'' < M")
-    lam, u = _basis_from_sum(pop, n_corr)
-    factors = [(u.conj().T @ pop.channels[n].corr_factor)[:r_dd]
-               for n in range(n_corr)]
-    return LowRankBasis(u=u, r_prime=r_dd, n_corr=n_corr,
-                        corr_hat_factors=factors, eigvals=lam,
-                        approximate=True)
+                        corr_hat_factors=factors)
 
 
 def transform_signal(y: np.ndarray, basis: LowRankBasis,

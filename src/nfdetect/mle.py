@@ -215,9 +215,6 @@ class CoordinateState:
         else:  # w <- w - d Sigma^{-1} m - d Sigma^{-1} X c^{-1} (u - d t)
             self._w -= d * (sm + correction)
 
-    def gradient_entry(self, j: int) -> float:
-        return self.kernel(j).gradient()
-
     def optimality(self) -> tuple[np.ndarray, float]:
         """Projected-gradient violation vector and its 2-norm."""
         v = projected_gradient_violation(self.a, self.gradient())

@@ -9,7 +9,7 @@ gains, power control and sequences deterministically from a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

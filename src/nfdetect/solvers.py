@@ -11,16 +11,16 @@ whose cubic derivative is solved directly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .mle import FullState, NumericalFailure, StepKernel
 
-__all__ = ["DivergenceSignal", "SolveOptions", "StepResult", "SweepStats",
-           "SolveResult", "SubproblemKernel", "build_subproblem",
-           "build_polynomials", "exact_step", "inexact_step", "sweep", "solve"]
+__all__ = ["DivergenceSignal", "SolveOptions", "SolveResult",
+           "SubproblemKernel", "build_subproblem", "build_polynomials",
+           "exact_step", "inexact_step", "sweep", "solve"]
 
 # Roots with |Im| below this (relative) tolerance are treated as real.
 REAL_ROOT_TOL = 1e-9
@@ -49,16 +49,6 @@ class SolveOptions:
     def __post_init__(self):
         if self.solver not in ("exact", "inexact"):
             raise ValueError(f"unknown solver {self.solver!r}")
-
-
-@dataclass(frozen=True)
-class StepResult:
-    d: float
-
-
-@dataclass
-class SweepStats:
-    objective: float
 
 
 @dataclass
@@ -200,7 +190,7 @@ def _cubic_roots_in(coeffs, lo: float, hi: float) -> list[float]:
     return [float(d) for d in roots if lo <= d <= hi]
 
 
-def exact_step(kernel: StepKernel) -> StepResult:
+def exact_step(kernel: StepKernel) -> float:
     """Minimize the 1-D objective exactly via polynomial root-finding.
 
     Candidate values are compared through Horner evaluation of the
@@ -224,10 +214,10 @@ def exact_step(kernel: StepKernel) -> StepResult:
             best_d, best_val = d, val
     if best_d is None:
         raise DivergenceSignal("no usable candidate step")
-    return StepResult(d=float(np.clip(best_d, lo, hi)))
+    return float(np.clip(best_d, lo, hi))
 
 
-def inexact_step(kernel: StepKernel, mu: float) -> StepResult:
+def inexact_step(kernel: StepKernel, mu: float) -> float:
     """Minimize the quartic surrogate plus (mu/2) d^2 over the box."""
     g, u, t = kernel.gram, kernel.resid_proj, kernel.mean_proj
     gu, gt = g @ u, g @ t
@@ -243,7 +233,7 @@ def inexact_step(kernel: StepKernel, mu: float) -> StepResult:
     c2m = c2 + 0.5 * mu
     vals = [d * (c1 + d * (c2m + d * (c3 + d * c4))) for d in candidates]
     best = int(np.argmin(vals))
-    return StepResult(d=float(np.clip(candidates[best], lo, hi)))
+    return float(np.clip(candidates[best], lo, hi))
 
 
 def _route_exact(options: SolveOptions, rank: int) -> bool:
@@ -253,8 +243,9 @@ def _route_exact(options: SolveOptions, rank: int) -> bool:
 
 
 def sweep(state, options: SolveOptions, rng: np.random.Generator,
-          sweep_index: int = 0, monitor=None) -> SweepStats:
-    """Visit every coordinate once in a fresh uniform random permutation.
+          sweep_index: int = 0, monitor=None) -> float:
+    """Visit every coordinate once in a fresh uniform random permutation;
+    returns the objective after the sweep.
 
     ``monitor``, if given, is called with (coordinate, d, true_delta) after
     each accepted update; the true delta is evaluated from the kernel
@@ -267,13 +258,12 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
         kernel = state.kernel(int(j))
         if _route_exact(options, state.rank_of(int(j))):
             try:
-                result = exact_step(kernel)
+                d = exact_step(kernel)
             except DivergenceSignal as sig:
                 raise DivergenceSignal(str(sig), coordinate=int(j),
                                        sweep=sweep_index) from None
         else:
-            result = inexact_step(kernel, options.mu)
-        d = result.d
+            d = inexact_step(kernel, options.mu)
         if d != 0.0:
             delta = kernel.objective_delta(d)
             state.apply_update(int(j), d)
@@ -284,7 +274,7 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
                     f_run > f_start + options.divergence_threshold:
                 raise DivergenceSignal("objective increased beyond threshold",
                                        coordinate=int(j), sweep=sweep_index)
-    return SweepStats(objective=state.objective())
+    return state.objective()
 
 
 def solve(pop, y, options: SolveOptions | None = None,
@@ -309,10 +299,11 @@ def solve(pop, y, options: SolveOptions | None = None,
     n_sweeps = 0
     try:
         for i in range(options.max_sweeps):
-            stats = sweep(state, options, rng, sweep_index=i, monitor=monitor)
+            objective = sweep(state, options, rng, sweep_index=i,
+                              monitor=monitor)
             n_sweeps = i + 1
             _, vnorm = state.optimality()
-            trace.append({"sweep": i, "objective": stats.objective,
+            trace.append({"sweep": i, "objective": objective,
                           "vnorm": vnorm,
                           "elapsed_s": time.perf_counter() - t0,
                           "recomputes": state.recomputes})

@@ -1,5 +1,12 @@
 """Shared fixtures and instance builders."""
 
+import os
+
+# One BLAS thread, set before numpy loads: numpy and scipy each load their
+# own OpenBLAS, and on few cores their worker threads compete and slow the
+# dense solver state several times over.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -101,7 +101,7 @@ def test_03_exact_step_vs_grid_search():
         lo, hi = kernel.box
         grid_best = float(np.min(grid_delta(
             kernel, np.arange(lo, hi + 1e-5, 1e-5))))
-        worst = max(worst, kernel.objective_delta(step.d) - grid_best)
+        worst = max(worst, kernel.objective_delta(step) - grid_best)
     print(f"\n[3] worst excess over grid minimum {worst:.2e} (<=1e-6)")
     assert worst <= 1e-6
 

@@ -1,175 +1,85 @@
-"""Sequence-set expansion, decoding and data-error accounting."""
+"""Joint activity and data detection through the experiment harness.
+
+A plan's ``bits`` gives each device 2^bits signature sequences; the
+harness reads each device's activity score (its largest soft value) and
+its symbol (the index of that value) from the relaxed solution.
+"""
 
 import numpy as np
 import pytest
 
-from nfdetect.datadet import (
-    DataDetectionConfig,
-    DecodedMessage,
-    combination_violation,
-    data_error_metrics,
-    decode,
-    expand_problem,
-)
+from nfdetect import harness
+from nfdetect.harness import ExperimentPlan, _run_trial
 from nfdetect.population import ScenarioConfig, build_population
-from nfdetect.solvers import SolveOptions, solve
-from nfdetect.synthesis import ActivityTruth, covariance_matrix, \
-    sample_truth, synthesize_signal
+from nfdetect.solvers import SolveOptions, SolveResult
+from nfdetect.synthesis import sample_truth
 
-from conftest import random_population
+CFG = ScenarioConfig(n_devices=6, n_active=4, seq_len=4, antenna_count=4,
+                     n_scatterers=2, channel_case="rician",
+                     seqs_per_device=2)
+SEED = np.random.SeedSequence(3)
+
+
+def replayed_truth():
+    """The truth that a trial seeded with SEED samples first."""
+    return sample_truth(CFG.n_devices, CFG.n_active, CFG.seqs_per_device,
+                        np.random.default_rng(SEED))
+
+
+def read_out(monkeypatch, a):
+    """The harness's outcome of a trial whose solve returns ``a``."""
+    result = SolveResult(a=np.asarray(a, dtype=float), trace=[],
+                         converged=True, diverged=False,
+                         termination="converged", sweeps=1)
+    monkeypatch.setattr(harness, "solve", lambda *args, **kwargs: result)
+    pop = build_population(CFG, np.random.default_rng(0))
+    return _run_trial(pop, pop, CFG, SolveOptions(), SEED)
 
 
 class TestConfig:
     def test_set_size_powers_of_two(self):
-        assert DataDetectionConfig(bits=0).set_size == 1
-        assert DataDetectionConfig(bits=1).set_size == 2
-        assert DataDetectionConfig(bits=3).set_size == 8
+        plan = ExperimentPlan(base=dict(n_devices=4, n_active=1, seq_len=4,
+                                        antenna_count=4),
+                              sweep_points=({}, {"bits": 0}, {"bits": 3}),
+                              bits=1)
+        assert [plan.point_config(p).seqs_per_device
+                for p in plan.sweep_points] == [2, 1, 8]
 
     def test_negative_bits_rejected(self):
+        base = dict(n_devices=4, n_active=1, seq_len=4, antenna_count=4)
         with pytest.raises(ValueError):
-            DataDetectionConfig(bits=-1)
-
-
-class TestExpansion:
-    def test_zero_bits_is_identity(self, rng):
-        pop = random_population(rng)
-        assert expand_problem(pop, DataDetectionConfig(bits=0)) is pop
-
-    def test_pseudo_coordinates_share_channel_statistics(self, rng):
-        pop = random_population(rng, n_devices=4)
-        big = expand_problem(pop, DataDetectionConfig(bits=2),
-                             np.random.default_rng(0))
-        assert big.n_coordinates == 4 * 4
-        for j in range(big.n_coordinates):
-            n, _ = big.coordinate_device(j)
-            assert big.channels[n] is pop.channels[n]
-
-    def test_expanded_covariance_matches_direct_sum(self, rng):
-        pop = random_population(rng, n_devices=2, seq_len=3, m_antennas=3)
-        big = expand_problem(pop, DataDetectionConfig(bits=1),
-                             np.random.default_rng(1))
-        a = rng.uniform(0, 1, 4)
-        sigma = covariance_matrix(big, a)
-        direct = big.noise_power * np.eye(big.signal_dim, dtype=complex)
-        for n in range(2):
-            r = big.channels[n].correlation_matrix()
-            for q in range(2):
-                s = big.signatures.sequences[n, q]
-                direct += a[n * 2 + q] * np.kron(r, np.outer(s, s.conj()))
-        assert np.allclose(sigma, direct)
-
-    def test_double_expansion_rejected(self, rng):
-        pop = random_population(rng)
-        big = expand_problem(pop, DataDetectionConfig(bits=1),
-                             np.random.default_rng(2))
+            ExperimentPlan(base=base, sweep_points=({},), bits=-1)
         with pytest.raises(ValueError):
-            expand_problem(big, DataDetectionConfig(bits=2))
+            ExperimentPlan(base=base, sweep_points=({}, {"bits": -1}))
 
 
 class TestDecode:
-    def test_one_hot_decodes_to_symbol(self):
-        a = np.zeros(6)
-        a[1 * 2 + 1] = 1.0
-        msgs = decode(a, DataDetectionConfig(bits=1))
-        assert [m.active for m in msgs] == [False, True, False]
-        assert msgs[1].symbol == 1
+    def test_one_hot_decodes_to_symbol(self, monkeypatch):
+        truth = replayed_truth()
+        a = truth.activity_vector(CFG.n_devices, CFG.seqs_per_device)
+        # move the first active device's unit mass to the other sequence
+        n, q = truth.active_set[0], truth.symbols[0]
+        a[2 * n + q], a[2 * n + 1 - q] = 0.0, 1.0
+        out = read_out(monkeypatch, a)
+        assert np.array_equal(out.active_mask, out.scores == 1.0)
+        assert np.count_nonzero(out.active_mask) == CFG.n_active
+        assert out.symbol_hit.tolist() == [False, True, True, True]
 
-    def test_all_zero_all_inactive(self):
-        msgs = decode(np.zeros(8), DataDetectionConfig(bits=2))
-        assert all(not m.active and m.symbol is None for m in msgs)
-
-    def test_soft_values_and_threshold(self):
-        msgs = decode(np.array([0.6, 0.4]), DataDetectionConfig(bits=1))
-        assert msgs[0].active and msgs[0].symbol == 0
-        assert np.allclose(msgs[0].soft_values, [0.6, 0.4])
-        msgs = decode(np.array([0.4, 0.4]),
-                      DataDetectionConfig(bits=1, threshold=0.5))
-        assert not msgs[0].active
-
-    def test_ties_break_to_lowest_index(self):
-        msgs = decode(np.array([0.7, 0.7]), DataDetectionConfig(bits=1))
-        assert msgs[0].symbol == 0
-
-    def test_message_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DecodedMessage(device=0, active=True, symbol=None,
-                           soft_values=np.zeros(1))
-
-
-class TestErrorMetrics:
-    def test_perfect_decode_zero_errors(self):
-        truth = ActivityTruth(active_set=(0, 2), symbols=(1, 0))
-        cfg = DataDetectionConfig(bits=1)
-        a = np.zeros(8)
-        a[0 * 2 + 1] = 1.0
-        a[2 * 2 + 0] = 1.0
-        rep = data_error_metrics(decode(a, cfg), truth)
-        assert rep.pm == rep.pf == rep.symbol_error_rate == 0.0
-
-    def test_symbol_error_counted_separately(self):
-        truth = ActivityTruth(active_set=(1,), symbols=(0,))
-        cfg = DataDetectionConfig(bits=1)
-        a = np.zeros(4)
-        a[1 * 2 + 1] = 0.9  # active, wrong sequence
-        rep = data_error_metrics(decode(a, cfg), truth)
-        assert rep.missed == 0
-        assert rep.symbol_errors == 1
-        assert rep.symbol_error_rate == 1.0
-
-    def test_random_tally_matches_hand_count(self, rng):
-        n, q = 12, 4
-        cfg = DataDetectionConfig(bits=2)
-        for _ in range(20):
-            truth = sample_truth(n, 5, q, rng)
-            a = rng.uniform(0, 1, n * q)
-            rep = data_error_metrics(decode(a, cfg), truth)
-            soft = a.reshape(n, q)
-            sent = dict(zip(truth.active_set, truth.symbols))
-            missed = sum(1 for d in sent if soft[d].max() <= 0.5)
-            false = sum(1 for d in range(n)
-                        if d not in sent and soft[d].max() > 0.5)
-            sym = sum(1 for d, qq in sent.items()
-                      if soft[d].max() > 0.5 and int(np.argmax(soft[d])) != qq)
-            assert rep.missed == missed
-            assert rep.false_alarms == false
-            assert rep.symbol_errors == sym
-            assert rep.pm == pytest.approx(missed / 5)
-            assert rep.pf == pytest.approx(false / (n - 5))
-
-    def test_combination_violation(self):
-        a = np.array([0.7, 0.6, 0.2, 0.1])
-        v = combination_violation(a, set_size=2)
-        assert np.allclose(v, [0.3, 0.0])
+    def test_ties_break_to_lowest_index(self, monkeypatch):
+        truth = replayed_truth()
+        assert set(truth.symbols) == {0, 1}
+        out = read_out(monkeypatch, np.full(2 * CFG.n_devices, 0.7))
+        assert np.all(out.scores == 0.7)
+        assert np.array_equal(out.symbol_hit, np.array(truth.symbols) == 0)
 
 
 class TestEndToEnd:
-    def test_zero_bits_matches_activity_only_bit_for_bit(self):
-        cfg1 = ScenarioConfig(n_devices=10, n_active=3, seq_len=6,
-                              antenna_count=6, n_scatterers=2,
-                              channel_case="rician", seqs_per_device=1)
-        pop1 = build_population(cfg1, np.random.default_rng(5))
-        pop2 = expand_problem(pop1, DataDetectionConfig(bits=0))
-        truth = sample_truth(10, 3, rng=np.random.default_rng(6))
-        y = synthesize_signal(pop1, truth, np.random.default_rng(7)).y
-        r1 = solve(pop1, y, SolveOptions(max_sweeps=20),
-                   rng=np.random.default_rng(8))
-        r2 = solve(pop2, y, SolveOptions(max_sweeps=20),
-                   rng=np.random.default_rng(8))
-        assert np.array_equal(r1.a, r2.a)
-        assert [t["objective"] for t in r1.trace] == \
-            [t["objective"] for t in r2.trace]
-
     def test_one_bit_detection_recovers_truth_in_easy_regime(self):
         cfg = ScenarioConfig(n_devices=8, n_active=2, seq_len=12,
                              antenna_count=8, n_scatterers=2,
                              channel_case="rician", seqs_per_device=2)
         pop = build_population(cfg, np.random.default_rng(9))
-        truth = sample_truth(8, 2, 2, np.random.default_rng(10))
-        y = synthesize_signal(pop, truth, np.random.default_rng(11)).y
-        res = solve(pop, y, SolveOptions(max_sweeps=40),
-                    rng=np.random.default_rng(12))
-        msgs = decode(res.a, DataDetectionConfig(bits=1))
-        active = {m.device for m in msgs if m.active}
-        assert active == set(truth.active_set)
-        for n, q in zip(truth.active_set, truth.symbols):
-            assert msgs[n].symbol == q
+        out = _run_trial(pop, pop, cfg, SolveOptions(max_sweeps=40),
+                         np.random.SeedSequence(10))
+        assert np.array_equal(out.scores > 0.5, out.active_mask)
+        assert out.symbol_hit.tolist() == [True, True]

@@ -19,7 +19,8 @@ from nfdetect.harness import (
 )
 from nfdetect.population import ScenarioConfig, build_population, \
     mismatched_population
-from nfdetect.solvers import SolveOptions
+from nfdetect.solvers import SolveOptions, solve
+from nfdetect.synthesis import sample_truth, synthesize_signal
 
 
 def tiny_plan(**overrides):
@@ -46,6 +47,15 @@ class TestPlan:
             tiny_plan(sweep_points=())
         with pytest.raises(ValueError):
             tiny_plan(model="bogus")
+        base = tiny_plan().base
+        for bad in (dict(base={**base, "bits": 1}),
+                    dict(base={**base, "seqs_per_device": 2}),
+                    dict(sweep_points=({"seqs_per_device": 2},)),
+                    dict(bits=-1),
+                    dict(sweep_points=({"bits": 1}, {"bits": -1})),
+                    dict(workers=0)):
+            with pytest.raises(ValueError):
+                tiny_plan(**bad)
 
     def test_point_config_applies_overrides(self):
         plan = tiny_plan(bits=1)
@@ -122,6 +132,32 @@ class TestAggregation:
                 pf[gi] += np.mean(inact > theta)
         assert np.allclose(rep.pm_curve, pm / 5)
         assert np.allclose(rep.pf_curve, pf / 5)
+
+    def test_hand_tallied_symbol_errors_on_five_trials(self):
+        cfg = ScenarioConfig(n_devices=8, n_active=3, seq_len=4,
+                             antenna_count=6, n_scatterers=2,
+                             channel_case="rician", power_dbm=-112,
+                             seqs_per_device=2)
+        opts = SolveOptions(max_sweeps=15)
+        rep = run_point(cfg, opts, trials=5,
+                        seed_seq=np.random.SeedSequence(11))
+        # replay the trials outside the harness: a symbol error is a truly
+        # active device whose largest soft value sits at a wrong sequence
+        pop_seed, *trial_seeds = np.random.SeedSequence(11).spawn(6)
+        pop = build_population(cfg, np.random.default_rng(pop_seed))
+        wrong = total = 0
+        for s in trial_seeds:
+            rng = np.random.default_rng(s)
+            truth = sample_truth(8, 3, 2, rng)
+            res = solve(pop, synthesize_signal(pop, truth, rng).y, opts,
+                        rng=rng)
+            assert not res.diverged
+            soft = res.a.reshape(8, 2)
+            for n, q in zip(truth.active_set, truth.symbols):
+                total += 1
+                wrong += int(np.argmax(soft[n]) != q)
+        assert total == 15 and wrong > 0
+        assert rep.symbol_error_rate == wrong / total
 
     def test_pm_nondecreasing_pf_nonincreasing_in_threshold(self):
         cfg = ScenarioConfig(n_devices=10, n_active=2, seq_len=4,

@@ -9,7 +9,6 @@ from nfdetect.lowrank import (
     build_basis,
     transform_problem,
     transform_signal,
-    truncate_basis,
 )
 from nfdetect.population import ScenarioConfig, build_population
 from nfdetect.solvers import SolveOptions, solve
@@ -36,8 +35,6 @@ class TestBasis:
         assert np.allclose(basis.u.conj().T @ basis.u, np.eye(m), atol=1e-10)
         total = sum(pop.channels[n].correlation_matrix() for n in range(3))
         assert basis.r_prime == np.linalg.matrix_rank(total, tol=1e-8)
-        assert not basis.approximate
-        assert basis.energy_fraction == pytest.approx(1.0)
 
     def test_transformed_factors_carry_all_energy(self, rng):
         pop = split_population(rng)
@@ -208,36 +205,22 @@ class TestScenarioIntegration:
         assert np.max(np.abs(block.a - ref.a)) < 1e-12
 
 
-class TestTruncatedBasis:
-    def test_flags_and_energy_fraction(self, rng):
-        pop = split_population(rng, n_corr=6, m_antennas=6, max_rank=3)
-        basis = truncate_basis(pop, 6, r_dd=3)
-        assert basis.approximate
-        assert 0 < basis.energy_fraction < 1
-        assert basis.r_prime == 3
-
-    def test_invalid_truncation_rank_rejected(self, rng):
-        pop = split_population(rng)
-        with pytest.raises(ValueError):
-            truncate_basis(pop, 3, r_dd=0)
-        with pytest.raises(ValueError):
-            truncate_basis(pop, 3, r_dd=pop.antenna_count)
-
-    def test_truncated_solution_warm_starts_full_solver(self, rng):
-        pop = split_population(rng, n_corr=6, m_antennas=8, max_rank=3,
+class TestWarmStart:
+    def test_block_solution_warm_starts_full_solver(self, rng):
+        pop = split_population(rng, n_corr=3, m_antennas=12, max_rank=2,
                                n_devices=10)
         y = random_signal(pop, rng).y
-        basis = truncate_basis(pop, 6, r_dd=4)
-        prob, yp = transform_problem(pop, y, basis)
-        approx = solve(pop, y, SolveOptions(max_sweeps=25),
-                       rng=np.random.default_rng(3),
-                       state=BlockState(prob, yp))
+        prob, yp = transform_problem(pop, y, build_basis(pop, 3))
+        early = solve(pop, y, SolveOptions(max_sweeps=3),
+                      rng=np.random.default_rng(3),
+                      state=BlockState(prob, yp))
         cold = solve(pop, y, SolveOptions(max_sweeps=40),
                      rng=np.random.default_rng(4))
         warm = solve(pop, y, SolveOptions(max_sweeps=40),
                      rng=np.random.default_rng(4),
-                     state=FullState(pop, y, a0=approx.a))
-        assert warm.sweeps <= cold.sweeps
+                     state=FullState(pop, y, a0=early.a))
+        assert early.sweeps == 3 and not early.converged
+        assert warm.converged and warm.sweeps < cold.sweeps
         f_warm = FullState(pop, y, a0=warm.a).objective()
         f_cold = FullState(pop, y, a0=cold.a).objective()
         assert f_warm <= f_cold + 1e-3

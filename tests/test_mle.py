@@ -65,7 +65,8 @@ class TestGradient:
         st_ = FullState(pop, y, a0=rng.uniform(0, 1, pop.n_coordinates))
         grad = st_.gradient()
         for j in range(pop.n_coordinates):
-            assert st_.gradient_entry(j) == pytest.approx(grad[j], rel=1e-10)
+            assert st_.kernel(j).gradient() == pytest.approx(grad[j],
+                                                    rel=1e-10)
 
 
 class TestProjectedGradient:

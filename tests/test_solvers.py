@@ -98,18 +98,18 @@ class TestExactStep:
             st_ = random_state(rng, n_devices=5, m_antennas=4, max_rank=3)
             j = int(rng.integers(st_.n_coordinates))
             k = st_.kernel(j)
-            res = exact_step(k)
+            d = exact_step(k)
             lo, hi = k.box
             grid = np.arange(lo, hi + 1e-5, 1e-5)
             grid_best = float(np.min(grid_delta(k, grid)))
-            assert k.objective_delta(res.d) <= grid_best + 1e-6
+            assert k.objective_delta(d) <= grid_best + 1e-6
 
     def test_step_stays_in_box(self, rng):
         for _ in range(20):
             st_ = random_state(rng, n_devices=4)
             j = int(rng.integers(st_.n_coordinates))
             k = st_.kernel(j)
-            d = exact_step(k).d
+            d = exact_step(k)
             assert k.box[0] <= d <= k.box[1]
 
     def test_dominates_inexact(self, rng):
@@ -117,8 +117,8 @@ class TestExactStep:
             st_ = random_state(rng, n_devices=5)
             j = int(rng.integers(st_.n_coordinates))
             k = st_.kernel(j)
-            de = exact_step(k).d
-            di = inexact_step(k, mu=10.0).d
+            de = exact_step(k)
+            di = inexact_step(k, mu=10.0)
             assert k.objective_delta(de) <= k.objective_delta(di) + 1e-9
 
 
@@ -129,7 +129,7 @@ class TestInexactStep:
             st_ = random_state(rng, n_devices=6)
             j = int(rng.integers(st_.n_coordinates))
             k = st_.kernel(j)
-            d = inexact_step(k, mu=10.0).d
+            d = inexact_step(k, mu=10.0)
             assert k.objective_delta(d) <= 1e-9
 
     def test_step_stays_in_box(self, rng):
@@ -137,14 +137,14 @@ class TestInexactStep:
             st_ = random_state(rng, n_devices=4)
             j = int(rng.integers(st_.n_coordinates))
             k = st_.kernel(j)
-            d = inexact_step(k, mu=10.0).d
+            d = inexact_step(k, mu=10.0)
             assert k.box[0] <= d <= k.box[1]
 
     def test_zero_gradient_gives_zero_step(self, rng):
         st_ = random_state(rng, n_devices=4)
         k = st_.kernel(0)
         # large mu shrinks the step toward the gradient direction only
-        d_small = abs(inexact_step(k, mu=1e8).d)
+        d_small = abs(inexact_step(k, mu=1e8))
         assert d_small < 1e-4
 
 
@@ -156,9 +156,9 @@ class TestSweepAndSolve:
         opts = SolveOptions(solver="inexact")
         prev = st_.objective()
         for i in range(8):
-            stats = sweep(st_, opts, np.random.default_rng(i), sweep_index=i)
-            assert stats.objective <= prev + 1e-8
-            prev = stats.objective
+            f = sweep(st_, opts, np.random.default_rng(i), sweep_index=i)
+            assert f <= prev + 1e-8
+            prev = f
 
     def test_solver_converges_and_flags(self, rng):
         pop = random_population(rng, n_devices=10, seq_len=6, m_antennas=6)

@@ -173,6 +173,45 @@ class TestModelAssembly:
         assert np.allclose(mean_vector(pop, a), expected)
 
 
+class TestSequenceSets:
+    """A device with 2^J sequences contributes one pseudo-coordinate per
+    sequence, all with the device's channel statistics."""
+
+    @staticmethod
+    def two_sequence_population(**overrides):
+        kwargs = dict(n_devices=4, n_active=1, seq_len=4, antenna_count=5,
+                      n_scatterers=2, channel_case="rician",
+                      seqs_per_device=2)
+        kwargs.update(overrides)
+        return build_population(ScenarioConfig(**kwargs),
+                                np.random.default_rng(0))
+
+    def test_pseudo_coordinates_share_channel_statistics(self):
+        pop = self.two_sequence_population()
+        assert pop.n_coordinates == 4 * 2
+        for j in range(pop.n_coordinates):
+            n, q = pop.coordinate_device(j)
+            ch, s = pop.channels[n], pop.signatures.sequences[n, q]
+            assert pop.coordinate_rank(j) == ch.corr_rank
+            assert np.allclose(pop.coordinate_factor(j),
+                               np.kron(ch.corr_factor, s[:, None]))
+            assert np.allclose(pop.coordinate_mean(j),
+                               np.kron(ch.los_mean, s))
+
+    def test_expanded_covariance_matches_direct_sum(self, rng):
+        pop = self.two_sequence_population(n_devices=2, seq_len=3,
+                                           antenna_count=3)
+        a = rng.uniform(0, 1, 4)
+        sigma = covariance_matrix(pop, a)
+        direct = pop.noise_power * np.eye(pop.signal_dim, dtype=complex)
+        for n in range(2):
+            r = pop.channels[n].correlation_matrix()
+            for q in range(2):
+                s = pop.signatures.sequences[n, q]
+                direct += a[n * 2 + q] * np.kron(r, np.outer(s, s.conj()))
+        assert np.allclose(sigma, direct)
+
+
 class TestScenarioBuilder:
     def test_power_control_across_cases(self):
         for case in ("rician", "rayleigh", "uncorrelated"):
