@@ -53,9 +53,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_CONVERGENCE_KEYS = {"base", "scatterer_values", "seed", "instances", "solver",
+                     "mu", "epsilon", "max_sweeps", "exact_rank_limit"}
+
+
 def _cmd_convergence(args) -> int:
     with open(args.plan) as fh:
         spec = json.load(fh)
+    unknown = sorted(set(spec) - _CONVERGENCE_KEYS)
+    if unknown:
+        raise ValueError("unknown key(s) in convergence spec: "
+                         + ", ".join(map(repr, unknown)))
     base = spec["base"]
     values = spec["scatterer_values"]
     seed = args.seed if args.seed is not None else spec.get("seed", 0)

@@ -74,6 +74,7 @@ class ExperimentPlan:
             raise ValueError("seqs_per_device comes from bits; set bits")
         if min(self.bits, *(p.get("bits", 0) for p in self.sweep_points)) < 0:
             raise ValueError("bit count must be nonnegative")
+        self.solve_options()  # rejects out-of-range solver options
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(solver=self.solver, mu=self.mu,

@@ -5,11 +5,13 @@ The exact step eigendecomposes the r x r subproblem kernel, assembles the
 picks the best candidate among the real roots of the degree-(2r+1)
 stationarity polynomial and the interval endpoints.  The inexact step
 minimizes a quartic Taylor surrogate plus a quadratic regularizer mu/2 d^2,
-whose cubic derivative is solved directly.
+whose cubic derivative is solved directly.  After a first full sweep, the
+inexact solver sweeps only the coordinates that violate optimality.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ __all__ = ["DivergenceSignal", "SolveOptions", "SolveResult",
 REAL_ROOT_TOL = 1e-9
 # p_den values below this magnitude make the candidate unusable.
 DEN_UNDERFLOW = 1e-300
+# Newton steps that polish each closed-form cubic root.
+NEWTON_STEPS = 3
 
 
 class DivergenceSignal(RuntimeError):
@@ -49,6 +53,15 @@ class SolveOptions:
     def __post_init__(self):
         if self.solver not in ("exact", "inexact"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.max_sweeps < 1:
+            raise ValueError("need at least one sweep")
+        for name in ("mu", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not (math.isfinite(self.divergence_threshold)
+                and self.divergence_threshold > 0.0):
+            raise ValueError("divergence_threshold must be finite and > 0")
 
 
 @dataclass
@@ -156,7 +169,13 @@ def _real_roots_in(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
 
 
 def _cubic_roots_in(coeffs, lo: float, hi: float) -> list[float]:
-    """Real roots of c0 + c1 d + c2 d^2 + c3 d^3 in [lo, hi], closed form."""
+    """Real roots of c0 + c1 d + c2 d^2 + c3 d^3 in [lo, hi], closed form.
+
+    A nearly vanishing leading term is the common case here (the inexact
+    step's regularizer makes c1 large), so the quadratic uses the form
+    without cancellation and each Cardano root gets Newton steps on the
+    cubic itself before it is tested for being real.
+    """
     c0, c1, c2, c3 = (float(c) for c in coeffs)
     scale = max(abs(c0), abs(c1), abs(c2), abs(c3), 1.0)
     if abs(c3) <= 1e-14 * scale:
@@ -168,8 +187,8 @@ def _cubic_roots_in(coeffs, lo: float, hi: float) -> list[float]:
             disc = c1 * c1 - 4.0 * c2 * c0
             if disc < 0.0:
                 return []
-            sq = np.sqrt(disc)
-            roots = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
+            q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            roots = [q / c2, c0 / q] if q != 0.0 else [0.0]
     else:
         d0 = c2 * c2 - 3.0 * c3 * c1
         d1 = 2.0 * c2 ** 3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0
@@ -184,7 +203,12 @@ def _cubic_roots_in(coeffs, lo: float, hi: float) -> list[float]:
             roots = []
             for k in range(3):
                 w = cc * xi ** k
-                z = -(c2 + w + d0 / w) / (3.0 * c3)
+                z = complex(-(c2 + w + d0 / w) / (3.0 * c3))
+                for _ in range(NEWTON_STEPS):
+                    slope = (3.0 * c3 * z + 2.0 * c2) * z + c1
+                    if slope == 0:
+                        break
+                    z -= (((c3 * z + c2) * z + c1) * z + c0) / slope
                 if abs(z.imag) <= REAL_ROOT_TOL * (1.0 + abs(z.real)):
                     roots.append(z.real)
     return [float(d) for d in roots if lo <= d <= hi]
@@ -243,17 +267,21 @@ def _route_exact(options: SolveOptions, rank: int) -> bool:
 
 
 def sweep(state, options: SolveOptions, rng: np.random.Generator,
-          sweep_index: int = 0, monitor=None) -> float:
-    """Visit every coordinate once in a fresh uniform random permutation;
-    returns the objective after the sweep.
+          sweep_index: int = 0, monitor=None,
+          coordinates: np.ndarray | None = None) -> tuple[float, int]:
+    """Visit ``coordinates`` (by default all) once in a fresh uniform random
+    permutation; returns the objective after the sweep and the number of
+    nonzero steps taken.
 
     ``monitor``, if given, is called with (coordinate, d, true_delta) after
     each accepted update; the true delta is evaluated from the kernel
     before the state is modified.
     """
-    perm = rng.permutation(state.n_coordinates)
+    perm = rng.permutation(state.n_coordinates if coordinates is None
+                           else coordinates)
     f_start = state.objective()
     f_run = f_start
+    updates = 0
     for j in perm:
         kernel = state.kernel(int(j))
         if _route_exact(options, state.rank_of(int(j))):
@@ -267,6 +295,7 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
         if d != 0.0:
             delta = kernel.objective_delta(d)
             state.apply_update(int(j), d)
+            updates += 1
             f_run += delta
             if monitor is not None:
                 monitor(int(j), d, delta)
@@ -274,7 +303,7 @@ def sweep(state, options: SolveOptions, rng: np.random.Generator,
                     f_run > f_start + options.divergence_threshold:
                 raise DivergenceSignal("objective increased beyond threshold",
                                        coordinate=int(j), sweep=sweep_index)
-    return state.objective()
+    return state.objective(), updates
 
 
 def solve(pop, y, options: SolveOptions | None = None,
@@ -282,10 +311,19 @@ def solve(pop, y, options: SolveOptions | None = None,
           state=None, monitor=None) -> SolveResult:
     """Run permuted coordinate descent until ||V(a)|| <= epsilon or the cap.
 
+    The first sweep visits every coordinate.  With the inexact solver each
+    later sweep visits only the working set: the coordinates whose
+    projected-gradient violation was above 0 after the previous sweep
+    (most devices sit at a_j = 0 with a nonnegative gradient and are
+    skipped).  The exact solver visits every coordinate in every sweep.
+    The stopping test is over all coordinates either way.
+
     ``state`` may carry a pre-built solver state (e.g. the block-diagonal
     accelerated form, or a warm start); by default a dense state at a = 0
-    is used.  Each sweep's trace entry also holds the state's running
-    count of inverse rebuilds by cause, ``recomputes``.
+    is used.  Each sweep's trace entry also holds the coordinates it
+    visited and the nonzero steps it took (``visited``, ``updates``) and
+    the state's running count of inverse rebuilds by cause,
+    ``recomputes``.
     """
     options = options or SolveOptions()
     rng = np.random.default_rng(rng)
@@ -297,19 +335,25 @@ def solve(pop, y, options: SolveOptions | None = None,
     diverged = False
     termination = "sweep_cap"
     n_sweeps = 0
+    working = None
     try:
         for i in range(options.max_sweeps):
-            objective = sweep(state, options, rng, sweep_index=i,
-                              monitor=monitor)
+            objective, updates = sweep(state, options, rng, sweep_index=i,
+                                       monitor=monitor, coordinates=working)
             n_sweeps = i + 1
-            _, vnorm = state.optimality()
+            v, vnorm = state.optimality()
             trace.append({"sweep": i, "objective": objective,
                           "vnorm": vnorm,
                           "elapsed_s": time.perf_counter() - t0,
+                          "visited": (state.n_coordinates if working is None
+                                      else working.size),
+                          "updates": updates,
                           "recomputes": state.recomputes})
             if vnorm <= options.epsilon:
                 termination = "converged"
                 break
+            if options.solver == "inexact":
+                working = np.flatnonzero(v > 0.0)
     except (DivergenceSignal, NumericalFailure) as sig:
         diverged = True
         termination = f"diverged: {sig}"

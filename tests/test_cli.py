@@ -45,6 +45,18 @@ class TestSimulate:
         assert lines[0].startswith("seq_len,error_probability")
         assert len(lines) == 3
 
+    def test_misspelled_keys_rejected(self, tmp_path):
+        spec = {"base": {"n_devices": 6, "n_active": 2, "seq_len": 4,
+                         "antenna_count": 5, "channel_case": "rician"},
+                "scatterer_values": [1], "instances": 1,
+                "solvr": "inexact", "max_sweep": 2}
+        plan = tmp_path / "table.json"
+        plan.write_text(json.dumps(spec))
+        out = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="'max_sweep', 'solvr'"):
+            main(["convergence", "--plan", str(plan), "--out", str(out)])
+        assert not out.exists()
+
     def test_byte_identical_for_equal_seeds(self, plan_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["simulate", "--plan", plan_file, "--out", str(out1)])

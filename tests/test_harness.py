@@ -53,7 +53,12 @@ class TestPlan:
                     dict(sweep_points=({"seqs_per_device": 2},)),
                     dict(bits=-1),
                     dict(sweep_points=({"bits": 1}, {"bits": -1})),
-                    dict(workers=0)):
+                    dict(workers=0),
+                    dict(max_sweeps=0),
+                    dict(epsilon=-1e-3),
+                    dict(epsilon=float("nan")),
+                    dict(mu=float("inf")),
+                    dict(mu=-1.0)):
             with pytest.raises(ValueError):
                 tiny_plan(**bad)
 

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
+from scipy.optimize import minimize_scalar
 
 from nfdetect import solvers
-from nfdetect.mle import FullState
+from nfdetect.mle import FullState, StepKernel
+from nfdetect.population import ScenarioConfig, build_population
+from nfdetect.synthesis import sample_truth, synthesize_signal
 from nfdetect.solvers import (
     DivergenceSignal,
     SolveOptions,
@@ -18,7 +22,7 @@ from nfdetect.solvers import (
     sweep,
 )
 
-from conftest import random_population, random_signal
+from conftest import desk_scenario, random_population, random_signal
 
 
 def random_state(rng, **kwargs):
@@ -44,6 +48,20 @@ class TestCubicRoots:
             assert len(mine) == len(ref)
             for a, b in zip(mine, ref):
                 assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
+
+    def test_quadratic_without_cancellation(self):
+        """A nearly vanishing d^2 term next to a large d term: the small
+        root keeps full precision (the textbook formula loses it)."""
+        c0, c1, c2 = 1e-3, 324.0, 1e-8
+        roots = _cubic_roots_in((c0, c1, c2, 0.0), -1.0, 1.0)
+        small = -2 * c0 / (c1 + np.sqrt(c1 * c1 - 4 * c2 * c0))
+        assert roots == [pytest.approx(small, rel=1e-14)]
+
+    def test_cardano_roots_polished_for_tiny_leading_term(self):
+        c = (1e-3, 324.0, -6e-3, 4e-11)
+        roots = _cubic_roots_in(c, -1.0, 1.0)
+        assert len(roots) == 1
+        assert abs(P.polyval(roots[0], c)) <= 1e-15 * c[1] * abs(roots[0])
 
 
 class TestPolynomialForm:
@@ -148,6 +166,71 @@ class TestInexactStep:
         assert d_small < 1e-4
 
 
+def surrogate(kernel, mu, d):
+    """The inexact step's model of the objective change, evaluated at each
+    step in ``d`` from its definition: log|I + d G| linearized to d tr G,
+    (I + d G)^{-1} replaced by I - d G, plus the regularizer (mu/2) d^2.
+    Returns the model values and the sum of the terms' magnitudes."""
+    d = np.asarray(d, dtype=float)
+    g, u, t = kernel.gram, kernel.resid_proj, kernel.mean_proj
+    res = np.eye(g.shape[0])[None] - d[:, None, None] * g[None]
+    ru, rt = res @ u, res @ t
+    terms = np.stack([
+        d * np.trace(g).real, -2 * d * kernel.mean_lin,
+        d ** 2 * kernel.mean_quad, -d * np.real(ru @ u.conj()),
+        2 * d ** 2 * np.real(rt @ u.conj()), -d ** 3 * np.real(rt @ t.conj()),
+        0.5 * mu * d ** 2])
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+@st.composite
+def surrogate_kernels(draw):
+    """Random kernels whose surrogate spans many scales, down to a nearly
+    vanishing cubic and quartic term next to a large regularizer."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = draw(st.integers(1, 4))
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f = cnormal(r, r) * 10.0 ** draw(st.integers(-3, 1))
+    gram = f @ f.conj().T
+    u = cnormal(r) * 10.0 ** draw(st.integers(-4, 1))
+    t = cnormal(r) * 10.0 ** draw(st.integers(-9, 0))
+    slope = draw(st.sampled_from([-1.0, 1.0])) * \
+        10.0 ** draw(st.floats(-9, 2))
+    a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    kernel = StepKernel(
+        gram=gram, resid_proj=u, mean_proj=t,
+        mean_lin=0.5 * (np.trace(gram).real - np.vdot(u, u).real - slope),
+        mean_quad=float(rng.uniform(0, 2)) * 10.0 ** draw(st.integers(-4, 2)),
+        box=(-a, 1.0 - a))
+    mu = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0, 100.0]))
+    return kernel, mu
+
+
+class TestInexactStepMinimizesSurrogate:
+    @settings(max_examples=300, deadline=None)
+    @given(surrogate_kernels())
+    def test_matches_grid_and_refine_minimizer(self, case):
+        kernel, mu = case
+        lo, hi = kernel.box
+        d = inexact_step(kernel, mu)
+        assert lo <= d <= hi
+        grid = np.concatenate([np.linspace(lo, hi, 4001), [0.0]])
+        vals, _ = surrogate(kernel, mu, grid)
+        best = grid[int(np.argmin(vals))]
+        h = (hi - lo) / 4000
+        refined = minimize_scalar(
+            lambda x: surrogate(kernel, mu, [x])[0][0], method="bounded",
+            bounds=(max(lo, best - h), min(hi, best + h)),
+            options={"xatol": 1e-15}).x
+        ref_val, ref_mag = surrogate(kernel, mu, [best, refined])
+        k = int(np.argmin(ref_val))
+        (step_val,), (step_mag,) = surrogate(kernel, mu, [d])
+        assert step_val <= ref_val[k] + 1e-9 * max(ref_mag[k], step_mag)
+
+
 class TestSweepAndSolve:
     def test_inexact_objective_nonincreasing_across_sweeps(self, rng):
         pop = random_population(rng, n_devices=12, seq_len=5, m_antennas=6)
@@ -156,7 +239,7 @@ class TestSweepAndSolve:
         opts = SolveOptions(solver="inexact")
         prev = st_.objective()
         for i in range(8):
-            f = sweep(st_, opts, np.random.default_rng(i), sweep_index=i)
+            f, _ = sweep(st_, opts, np.random.default_rng(i), sweep_index=i)
             assert f <= prev + 1e-8
             prev = f
 
@@ -242,6 +325,19 @@ class TestSweepAndSolve:
         with pytest.raises(ValueError):
             SolveOptions(solver="bogus")
 
+    def test_out_of_range_options_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(max_sweeps=0), dict(max_sweeps=-3),
+                    dict(epsilon=-1e-3), dict(epsilon=nan),
+                    dict(epsilon=inf), dict(mu=-1.0), dict(mu=inf),
+                    dict(divergence_threshold=0.0),
+                    dict(divergence_threshold=-1.0),
+                    dict(divergence_threshold=inf)):
+            with pytest.raises(ValueError):
+                SolveOptions(**bad)
+        SolveOptions(max_sweeps=1, epsilon=0.0, mu=0.0,
+                     divergence_threshold=1e-9)
+
     def test_divergence_signal_carries_location(self, rng, monkeypatch):
         def dead_roots(kernel):
             raise DivergenceSignal("no usable candidate step")
@@ -269,3 +365,69 @@ class TestSweepAndSolve:
                                                    max_sweeps=10),
                               rng=seed).diverged
         assert diverged >= 35
+
+    def test_stable_step_converges_on_stalling_instance(self):
+        """An instance on which an ill-conditioned step root left vnorm
+        stuck near 0.0105 until the sweep cap."""
+        cfg = ScenarioConfig(n_devices=100, n_active=10, seq_len=20,
+                             antenna_count=32, channel_case="rician")
+        rng = np.random.default_rng(0)
+        pop = build_population(cfg, rng)
+        truth = sample_truth(cfg.n_devices, cfg.n_active, rng=rng)
+        y = synthesize_signal(pop, truth, rng).y
+        res = solve(pop, y, SolveOptions(max_sweeps=80), rng=1)
+        assert res.converged
+        assert res.sweeps <= 30
+        assert set(np.flatnonzero(res.a > 0.5)) == set(truth.active_set)
+
+
+class TestWorkingSet:
+    def test_trace_counts_visits_and_updates(self, rng):
+        pop = random_population(rng, n_devices=10, seq_len=6, m_antennas=6)
+        y = random_signal(pop, rng).y
+        for solver in ("inexact", "exact"):
+            seen = []
+            res = solve(pop, y, SolveOptions(solver=solver, max_sweeps=20),
+                        rng=np.random.default_rng(8),
+                        monitor=lambda j, d, delta: seen.append(j))
+            visited = [t["visited"] for t in res.trace]
+            assert visited[0] == pop.n_coordinates
+            assert sum(t["updates"] for t in res.trace) == len(seen)
+            assert all(t["updates"] <= t["visited"] for t in res.trace)
+        assert visited == [pop.n_coordinates] * res.sweeps  # exact: full
+
+    def test_inactive_devices_leave_the_working_set(self, rng):
+        cfg = desk_scenario()
+        pop = build_population(cfg, rng)
+        truth = sample_truth(cfg.n_devices, cfg.n_active, rng=rng)
+        y = synthesize_signal(pop, truth, rng).y
+        res = solve(pop, y, rng=np.random.default_rng(9))
+        assert res.converged
+        assert min(t["visited"] for t in res.trace[1:]) < pop.n_coordinates
+
+    def test_working_set_is_the_violating_coordinates(self, rng):
+        """Each later sweep visits exactly the coordinates whose violation
+        was above 0 after the sweep before it."""
+        pop = random_population(rng, n_devices=16, seq_len=6, m_antennas=6)
+        y = random_signal(pop, rng, n_active=3).y
+        visits, expected = [set()], []
+
+        class Recording(FullState):
+            def kernel(self, j):
+                visits[-1].add(j)
+                return super().kernel(j)
+
+            def optimality(self):
+                v, vnorm = super().optimality()
+                expected.append(set(np.flatnonzero(v > 0)))
+                visits.append(set())
+                return v, vnorm
+
+        res = solve(pop, y, SolveOptions(max_sweeps=8),
+                    rng=np.random.default_rng(10),
+                    state=Recording(pop, y))
+        assert visits[0] == set(range(pop.n_coordinates))
+        assert min(map(len, expected[:res.sweeps - 1])) < pop.n_coordinates
+        for i in range(1, res.sweeps):
+            assert visits[i] == expected[i - 1]
+
